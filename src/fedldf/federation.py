@@ -88,10 +88,6 @@ class Federation:
         for svc in self.services:
             for p in PHASES:
                 table[p][svc.uri] = svc.requests_by_phase.get(p, 0)
-            for p in svc.requests_by_phase:
-                if p not in table:
-                    table[p] = {u: 0 for u in self.order}
-                    table[p][svc.uri] = svc.requests_by_phase[p]
         return table
 
     def total_requests(self) -> int:

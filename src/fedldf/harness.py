@@ -17,7 +17,7 @@ trade-off) but extra answers always indicate a bug.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .decomposer import (
@@ -113,6 +113,17 @@ def project_answers(
     return frozenset(m.restrict(parsed.variables) for m in answers)
 
 
+def project_trace(parsed: Select, trace: ExecutionTrace) -> ExecutionTrace:
+    """The trace with its answers projected to the selected variables, each
+    projected answer kept once with its first arrival time."""
+    if parsed.variables is None:
+        return trace
+    first: dict[SolutionMapping, float] = {}
+    for m, t in trace.answers:
+        first.setdefault(m.restrict(parsed.variables), t)
+    return replace(trace, answers=list(first.items()))
+
+
 def dief_at_t(trace: ExecutionTrace, t: float) -> float:
     """Area under the answer-count curve up to time ``t``: the sum over
     answers arriving by ``t`` of how long each has been available."""
@@ -126,7 +137,8 @@ def run(config: RunConfig) -> dict:
 
     Every repetition starts from fresh counters and performs the whole
     pipeline including source selection.  Trace files are written as JSON
-    lines when ``out_dir`` is set.
+    lines when ``out_dir`` is set.  Traces, answer counts and dief all see
+    the projected answers.
     """
     federation, parsed, patterns = load_inputs(config.manifest, config.query)
 
@@ -161,10 +173,8 @@ def run(config: RunConfig) -> dict:
                 decomposition, patterns, sources, federation
             )
         node = variant_plan(config.variant, decomposition, federation)
-        trace = execute(node, federation, timeout_s=config.timeout_s)
-        answers = project_answers(parsed, trace.answer_set())
+        trace = project_trace(parsed, execute(node, federation, timeout_s=config.timeout_s))
         record.update(_trace_metrics(trace, config))
-        record["answers"] = len(answers)
         report["runs"].append(record)
         _write_trace(config, rep, trace)
 

@@ -274,6 +274,23 @@ def _unify(pattern: TriplePattern, t: Triple) -> SolutionMapping | None:
     return SolutionMapping(binding)
 
 
+def _matches(pattern: TriplePattern, t: Triple) -> bool:
+    """Whether ``_unify`` succeeds, without building the mapping.
+
+    Written apart from ``_unify`` so the reference evaluator shares no code
+    with the simulator's fast paths that tests compare against it.
+    """
+    seen: dict[str, Term] = {}
+    for pat_term, ground in ((pattern.s, t.s), (pattern.p, t.p), (pattern.o, t.o)):
+        if pat_term.is_variable:
+            bound = seen.setdefault(pat_term.lexical, ground)
+            if bound is not ground and bound != ground:
+                return False
+        elif pat_term != ground:
+            return False
+    return True
+
+
 def match_pattern(graph: Graph, pattern: TriplePattern) -> frozenset[SolutionMapping]:
     """All mappings whose substitution into ``pattern`` yields a graph triple.
 
@@ -285,6 +302,21 @@ def match_pattern(graph: Graph, pattern: TriplePattern) -> frozenset[SolutionMap
         if m is not None:
             out.add(m)
     return frozenset(out)
+
+
+def has_match(graph: Graph, pattern: TriplePattern) -> bool:
+    """Whether ``pattern`` matches any graph triple; stops at the first."""
+    return any(_matches(pattern, t) for t in graph.candidates(pattern))
+
+
+def count_matches(graph: Graph, pattern: TriplePattern) -> int:
+    """``len(match_pattern(graph, pattern))`` without building the set.
+
+    Two distinct matching triples differ in a position the pattern holds a
+    variable in, so they yield distinct mappings: the count of matching
+    triples is the count of mappings.
+    """
+    return sum(1 for t in graph.candidates(pattern) if _matches(pattern, t))
 
 
 def join_mappings(

@@ -10,6 +10,16 @@ A request for an expression outside the service's language is answered
 with an empty page rather than an error, mirroring servers that ignore
 unsupported query features.  Those responses are tallied separately in
 ``polite_empty_count``; a correct client never triggers them.
+
+Simulator cost scales with the request, not the graph.  Each service
+memoizes an expression's result for one query run: ``evaluate``,
+``values_evaluate`` and ``count`` evaluate an expression at most once, and
+pages are slices of one ordered tuple sorted lazily on the first page
+request.  ``count`` on a single triple pattern counts the matching
+triples without keeping them, and ``ask`` stops at the first match; neither
+stores anything.  ``reset_counters`` clears the memo, so nothing carries
+over from one query run to the next.  A memo hit is still metered as one
+request with the same kind, detail, phase, page and rows.
 """
 
 from __future__ import annotations
@@ -27,7 +37,11 @@ from .expression import (
     in_language,
     summarize,
 )
-from .rdf import Graph, SolutionMapping, TriplePattern
+from .rdf import Graph, SolutionMapping, TriplePattern, count_matches, has_match
+
+
+# An expression's result: the evaluated set, or the same rows in page order.
+_Result = frozenset[SolutionMapping] | tuple[SolutionMapping, ...]
 
 
 class MetadataKind(Enum):
@@ -126,13 +140,18 @@ class ServiceSim:
         self.requests_by_phase: dict[str, int] = {}
         self.request_log: list[RequestRecord] = []
         self.polite_empty_count = 0
+        # Result per expression for the current query run: the evaluated set
+        # until a page is requested, then the ordered tuple that pages slice.
+        self._results: dict[Expression, _Result] = {}
         self._lock = threading.Lock()
 
     def reset_counters(self) -> None:
+        """Zero the meters and forget the results of the last query run."""
         with self._lock:
             self.requests_by_phase = {}
             self.request_log = []
             self.polite_empty_count = 0
+            self._results = {}
 
     def _record(self, kind: str, detail: str, page: int | None = None, rows: int | None = None) -> None:
         with self._lock:
@@ -148,7 +167,7 @@ class ServiceSim:
     def evaluate(self, expression: Expression, page: int = 0) -> Page:
         """Answer one page; out-of-language requests get a polite empty page."""
         self._record("evaluate", summarize(expression), page=page)
-        if not in_service_language(expression, self.spec):
+        if not in_language(expression, self.spec.language):
             with self._lock:
                 self.polite_empty_count += 1
             return Page((), self._estimate(0), None)
@@ -182,23 +201,38 @@ class ServiceSim:
                 raise InterfaceViolationError(
                     f"{self.uri}: count metadata covers single triple patterns only"
                 )
-        exact = len(evaluate_expression(self.graph, expression))
+        if isinstance(expression, TriplePattern):
+            # Most counted patterns are later probed with bindings, never
+            # paged, so their rows are counted rather than kept.
+            exact = count_matches(self.graph, expression)
+        else:
+            exact = len(self._result(expression))
         return self.count_noise(exact) if self.count_noise else exact
 
     def ask(self, pattern: TriplePattern) -> bool:
         """Whether the pattern has at least one match here."""
         self._record("ask", str(pattern))
-        return bool(evaluate_expression(self.graph, pattern))
+        return has_match(self.graph, pattern)
 
     # -- internals ----------------------------------------------------------
 
+    def _result(self, expression: Expression) -> _Result:
+        """The expression's result, evaluated at most once per query run."""
+        result = self._results.get(expression)
+        if result is None:
+            result = self._results[expression] = evaluate_expression(self.graph, expression)
+        return result
+
     def _ordered_results(self, expression: Expression) -> tuple[SolutionMapping, ...]:
-        results = evaluate_expression(self.graph, expression)
+        result = self._result(expression)
+        if isinstance(result, tuple):
+            return result
         if isinstance(expression, TriplePattern):
             key = lambda m: str(expression.substitute(m))
         else:
             key = lambda m: repr(m)
-        return tuple(sorted(results, key=key))
+        self._results[expression] = result = tuple(sorted(result, key=key))
+        return result
 
     def _estimate(self, total: int) -> int | None:
         if self.spec.metadata is MetadataKind.NONE:
@@ -212,18 +246,3 @@ class ServiceSim:
         chunk = results[page * size : (page + 1) * size]
         more = (page + 1) * size < len(results)
         return Page(chunk, self._estimate(len(results)), page + 1 if more else None)
-
-
-def in_service_language(expression: Expression, spec: InterfaceSpec) -> bool:
-    return in_language(expression, spec.language)
-
-
-def drain(service: ServiceSim, expression: Expression) -> list[SolutionMapping]:
-    """Fetch every page of an evaluation, in order. Test and oracle helper."""
-    out: list[SolutionMapping] = []
-    page = service.evaluate(expression)
-    out.extend(page.mappings)
-    while page.next_page is not None:
-        page = service.evaluate(expression, page.next_page)
-        out.extend(page.mappings)
-    return out

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from fedldf.expression import Expression
 from fedldf.rdf import SolutionMapping, Triple, TriplePattern, literal, uri, variable
+from fedldf.services import ServiceSim
 
 EX = "http://example.org/"
 
@@ -29,6 +31,17 @@ def _term(v):
     if v.startswith("http://") or v.startswith("urn:"):
         return uri(v)
     return ex(v)
+
+
+def drain(service: ServiceSim, expression: Expression) -> list[SolutionMapping]:
+    """Fetch every page of an evaluation, in order."""
+    out: list[SolutionMapping] = []
+    page = service.evaluate(expression)
+    out.extend(page.mappings)
+    while page.next_page is not None:
+        page = service.evaluate(expression, page.next_page)
+        out.extend(page.mappings)
+    return out
 
 
 def sm(**bindings) -> SolutionMapping:

@@ -8,6 +8,7 @@ import pytest
 
 from fedldf.executor import ExecutionTrace
 from fedldf.harness import (
+    VARIANTS,
     LoadError,
     RunConfig,
     dief_at_t,
@@ -17,7 +18,7 @@ from fedldf.harness import (
     run,
 )
 
-from helpers import sm
+from helpers import EX, sm
 
 
 def _config(fixtures_dir, manifest, query, **kw) -> RunConfig:
@@ -169,6 +170,33 @@ def test_run_projects_selected_variables(fixtures_dir):
     )
     assert parsed.variables == ("x", "party")
     assert oracle_answers(federation, parsed, patterns) == {sm(x="p1", party="dems")}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_trace_holds_projected_deduplicated_answers(fixtures_dir, tmp_path, variant):
+    # Three predecessors of y1 give three full answers to fex4_proj.rq's
+    # pattern, all of which project to the same (?x, ?party).
+    extra = "".join(f"<{EX}y1> <{EX}predecessor> <{EX}p0{i}> .\n" for i in range(2))
+    (tmp_path / "c2.nt").write_text((fixtures_dir / "g_c2.nt").read_text() + extra)
+    manifest = tmp_path / "fed.json"
+    services = [
+        {"uri": "c1", "interface": "sparql", "data": str(fixtures_dir / "g_c1.nt")},
+        {"uri": "c2", "interface": "tpf", "data": "c2.nt"},
+    ]
+    manifest.write_text(json.dumps({"services": services}))
+    out = tmp_path / "traces"
+    report = run(
+        RunConfig(manifest, fixtures_dir / "fex4_proj.rq", variant=variant, out_dir=out)
+    )
+    *rows, summary = [
+        json.loads(line)
+        for line in (out / f"trace_{variant}_rep1.jsonl").read_text().splitlines()
+    ]
+    assert [row["answer"] for row in rows] == [{"x": f"<{EX}p1>", "party": f"<{EX}dems>"}]
+    assert summary["answers"] == 1
+    (rec,) = report["runs"]
+    assert rec["answers"] == 1
+    assert rec["dief"] == pytest.approx(summary["runtime_s"] - rows[0]["t"])
 
 
 def test_run_short_circuits_on_hopeless_pattern(fixtures_dir):

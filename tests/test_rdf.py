@@ -16,7 +16,9 @@ from fedldf.rdf import (
     TermKind,
     Triple,
     TriplePattern,
+    count_matches,
     eval_bgp,
+    has_match,
     join_mappings,
     literal,
     match_pattern,
@@ -204,6 +206,56 @@ def test_join_is_commutative(g, p1, p2):
     a = match_pattern(g, p1)
     b = match_pattern(g, p2)
     assert join_mappings(a, b) == join_mappings(b, a)
+
+
+# Objects drawn from the subjects too, so that a repeated variable in
+# subject and object position (``?x <p> ?x``) can match.
+_looped_graphs = st.lists(
+    st.builds(
+        Triple,
+        st.sampled_from(_SUBJECTS),
+        st.sampled_from(_PREDICATES),
+        st.sampled_from(_SUBJECTS + _OBJECTS),
+    ),
+    max_size=30,
+).map(Graph)
+
+_looped_patterns = st.one_of(
+    _patterns,
+    st.builds(
+        TriplePattern,
+        _term_or_var(_SUBJECTS, ["x"]),
+        _term_or_var(_PREDICATES, ["p"]),
+        _term_or_var(_SUBJECTS + _OBJECTS, ["x"]),
+    ),
+    st.builds(
+        TriplePattern,
+        st.sampled_from(_SUBJECTS),
+        st.sampled_from(_PREDICATES),
+        st.sampled_from(_SUBJECTS),
+    ),
+    st.just(tp("?x", "?y", "?z")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_looped_graphs, _looped_patterns)
+def test_has_match_and_count_match_the_reference(g, pattern):
+    matches = match_pattern(g, pattern)
+    assert has_match(g, pattern) == bool(matches)
+    assert count_matches(g, pattern) == len(matches)
+
+
+def test_has_match_on_repeated_concrete_and_open_patterns():
+    g = Graph([triple("s0", "p", "s0"), triple("s0", "p", "s1"), triple("s1", "q", "o")])
+    assert has_match(g, tp("?x", "p", "?x"))
+    assert not has_match(g, tp("?x", "q", "?x"))
+    assert has_match(g, tp("s1", "q", "o"))
+    assert not has_match(g, tp("s1", "p", "o"))
+    assert has_match(g, tp("?x", "?y", "?z"))
+    assert not has_match(Graph(), tp("?x", "?y", "?z"))
+    assert count_matches(g, tp("?x", "p", "?x")) == 1
+    assert count_matches(g, tp("?x", "?y", "?z")) == 3
 
 
 # -- N-Triples subset --------------------------------------------------------

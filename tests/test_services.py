@@ -8,18 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedldf.expression import And, DataBlock, evaluate_expression
-from fedldf.rdf import Graph, Triple, eval_bgp
+from fedldf.expression import (
+    And,
+    DataBlock,
+    InterfaceLanguage,
+    Values,
+    evaluate_expression,
+    expression_vars,
+)
+from fedldf.rdf import Graph, Triple, TriplePattern, eval_bgp, variable
 from fedldf.services import (
     InterfaceSpec,
     InterfaceViolationError,
     MetadataKind,
+    Page,
     PageTokenError,
     ServiceSim,
-    drain,
 )
 
-from helpers import ex, sm, tp, triple
+from helpers import drain, ex, sm, tp, triple
 
 G_C1 = Graph(
     [
@@ -228,3 +235,141 @@ def test_drain_matches_oracle_on_random_graphs(size, page_size, rng):
     assert frozenset(rows) == eval_bgp(g, [pattern]) if rows else True
     first = svc.evaluate(pattern)
     assert first.total_estimate == len(evaluate_expression(g, pattern))
+
+
+# -- the per-query result memo -------------------------------------------------
+
+_NODES = [ex(f"n{i}") for i in range(5)]
+_PREDICATES = [ex(f"p{i}") for i in range(2)]
+
+
+def _reference_page(svc: ServiceSim, expression, page: int) -> Page:
+    """A page evaluated from scratch, ordered and cut as the simulator does."""
+    results = evaluate_expression(svc.graph, expression)
+    if isinstance(expression, TriplePattern):
+        key = lambda m: str(expression.substitute(m))
+    else:
+        key = repr
+    ordered = tuple(sorted(results, key=key))
+    size = svc.spec.page_size
+    if page < 0 or (page > 0 and page * size >= len(ordered)):
+        raise PageTokenError(page)
+    estimate = None if svc.spec.metadata is MetadataKind.NONE else len(ordered)
+    more = (page + 1) * size < len(ordered)
+    return Page(ordered[page * size : (page + 1) * size], estimate, page + 1 if more else None)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PageTokenError:
+        return PageTokenError
+
+
+@st.composite
+def _memo_scenarios(draw):
+    triples = draw(
+        st.lists(
+            st.builds(
+                Triple,
+                st.sampled_from(_NODES),
+                st.sampled_from(_PREDICATES),
+                st.sampled_from(_NODES),
+            ),
+            max_size=40,
+        )
+    )
+    page_size = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        spec = InterfaceSpec.brtpf(page_size=page_size)
+    else:
+        spec = InterfaceSpec.sparql_endpoint(page_size=page_size)
+
+    def term(pool, names):
+        return draw(st.one_of(st.sampled_from(pool), st.sampled_from(names).map(variable)))
+
+    first = TriplePattern(term(_NODES, ["a"]), term(_PREDICATES, ["p"]), term(_NODES, ["a", "b"]))
+    second = TriplePattern(term(_NODES, ["b"]), term(_PREDICATES, ["q"]), term(_NODES, ["c"]))
+    if spec.language is not InterfaceLanguage.TP_VALUES:
+        second = And(first, second)
+    expressions = (first, second)
+
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        expression = draw(st.sampled_from(expressions))
+        phase = draw(st.sampled_from(("planning", "execution")))
+        kind = draw(st.sampled_from(("count", "evaluate", "values")))
+        if kind == "count":
+            ops.append((phase, kind, expression, None, 0))
+            continue
+        page = draw(st.integers(min_value=0, max_value=4))
+        block = None
+        if kind == "values":
+            names = sorted(expression_vars(expression))
+            if not names:
+                kind = "evaluate"
+            else:
+                name = draw(st.sampled_from(names))
+                nodes = st.lists(st.sampled_from(_NODES), min_size=1, max_size=5, unique=True)
+                block = DataBlock((name,), tuple((node,) for node in draw(nodes)))
+        ops.append((phase, kind, expression, block, page))
+    return Graph(triples), spec, ops
+
+
+def _request(svc: ServiceSim, phase, kind, expression, block, page):
+    svc.phase = phase
+    if kind == "count":
+        return svc.count(expression)
+    if kind == "evaluate":
+        return _outcome(lambda: svc.evaluate(expression, page))
+    return _outcome(lambda: svc.values_evaluate(expression, block, page))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_memo_scenarios())
+def test_memoized_requests_equal_fresh_evaluation(scenario):
+    graph, spec, ops = scenario
+    svc = ServiceSim("c", spec, graph)
+    unmemoized = ServiceSim("c", spec, graph)
+    for phase, kind, expression, block, page in ops:
+        got = _request(svc, phase, kind, expression, block, page)
+        # The twin forgets every result before each request, so it
+        # evaluates every request from scratch.
+        unmemoized._results.clear()
+        assert _request(unmemoized, phase, kind, expression, block, page) == got
+        if kind == "count":
+            assert got == len(evaluate_expression(graph, expression))
+        else:
+            requested = expression if block is None else Values(expression, block)
+            assert got == _outcome(lambda: _reference_page(svc, requested, page))
+    assert svc.request_log == unmemoized.request_log
+    assert svc.requests_by_phase == unmemoized.requests_by_phase
+    assert svc.total_requests() == len(ops)
+
+    svc.reset_counters()
+    assert svc._results == {}
+    assert svc.request_log == [] and svc.total_requests() == 0
+
+
+def test_memo_hits_are_metered_and_bad_pages_still_rejected():
+    svc = ServiceSim("c", InterfaceSpec.brtpf(page_size=2), _bulk_graph(5))
+    pattern = tp("?s", "p", "?o")
+    assert svc.count(pattern) == 5
+    first = svc.evaluate(pattern)
+    assert svc.evaluate(pattern) == first
+    assert svc.evaluate(pattern, 2).next_page is None
+    with pytest.raises(PageTokenError):
+        svc.evaluate(pattern, 3)
+    with pytest.raises(PageTokenError):
+        svc.evaluate(pattern, -1)
+    assert [(r.kind, r.page) for r in svc.request_log] == [
+        ("count", None),
+        ("evaluate", 0),
+        ("evaluate", 0),
+        ("evaluate", 2),
+        ("evaluate", 3),
+        ("evaluate", -1),
+    ]
+    assert svc._results
+    svc.reset_counters()
+    assert svc._results == {}
