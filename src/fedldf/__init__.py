@@ -33,7 +33,6 @@ from .expression import (
     bgp_patterns,
     expression_vars,
     in_language,
-    language_contained,
 )
 from .parser import QuerySyntaxError, format_query, parse_query
 from .services import InterfaceSpec, Page, ServiceSim

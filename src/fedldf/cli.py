@@ -11,11 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .decomposer import (
-    NoRelevantSourceError,
-    enumerate_decompositions,
-    explain,
-)
+from .decomposer import enumerate_decompositions, explain
 from .executor import PlanInvariantError
 from .federation import select_sources
 from .harness import (
@@ -24,12 +20,14 @@ from .harness import (
     LoadError,
     RunConfig,
     VARIANTS,
+    describe_decomposition,
     load_inputs,
     oracle_check,
+    prepare,
     run,
-    variant_decomposition,
+    variant_plan,
 )
-from .planner import explain_plan
+from .planner import AccessPlan, explain_plan
 from .services import InterfaceViolationError
 
 EXIT_OK = 0
@@ -108,43 +106,23 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_TIMEOUT if report.get("timeout") else EXIT_OK
 
-    if args.command == "decompose":
+    if args.command in ("decompose", "plan"):
         federation, _, patterns = load_inputs(args.manifest, args.query)
-        sources = select_sources(federation, patterns)
-        try:
-            decomposition = variant_decomposition(args.variant, patterns, sources, federation)
-        except NoRelevantSourceError as exc:
-            print(f"empty answer: {exc}", file=sys.stderr)
-            return EXIT_OK
-        if args.explain:
+        prepared = prepare(federation, patterns, args.variant)
+        decomposition, sources = prepared.decomposition, prepared.sources
+        if decomposition is None:
+            print(f"empty answer: no relevant source for {prepared.unmatched}", file=sys.stderr)
+        elif args.command == "decompose" and args.explain:
             print(explain(decomposition, patterns, sources, federation))
+        elif args.command == "decompose":
+            payload = describe_decomposition(decomposition, patterns, sources, federation)
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            from .harness import describe_decomposition
-
-            print(
-                json.dumps(
-                    describe_decomposition(decomposition, patterns, sources, federation),
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        return EXIT_OK
-
-    if args.command == "plan":
-        federation, _, patterns = load_inputs(args.manifest, args.query)
-        sources = select_sources(federation, patterns)
-        try:
-            decomposition = variant_decomposition(args.variant, patterns, sources, federation)
-        except NoRelevantSourceError as exc:
-            print(f"empty answer: {exc}", file=sys.stderr)
-            return EXIT_OK
-        from .harness import variant_plan
-
-        node = variant_plan(args.variant, decomposition, federation)
-        if args.explain:
-            print(explain_plan(node, patterns))
-        else:
-            print(json.dumps(_plan_json(node, patterns), indent=2, sort_keys=True))
+            node = variant_plan(args.variant, decomposition, federation)
+            if args.explain:
+                print(explain_plan(node, patterns))
+            else:
+                print(json.dumps(_plan_json(node, patterns), indent=2, sort_keys=True))
         return EXIT_OK
 
     if args.command == "oracle-check":
@@ -183,8 +161,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _plan_json(node, patterns) -> dict:
-    from .planner import AccessPlan
-
     index = {p: i + 1 for i, p in enumerate(patterns)}
     if isinstance(node, AccessPlan):
         return {

@@ -126,15 +126,6 @@ class DecompositionGraph:
     def out_degree(self, vertex) -> int:
         return sum(1 for e in self.edges if vertex in e)
 
-    def adjacent_sources(self, pattern: TriplePattern) -> frozenset[str]:
-        out = set()
-        for e in self.edges:
-            if pattern in e:
-                (other,) = e - {pattern}
-                if isinstance(other, str):
-                    out.add(other)
-        return frozenset(out)
-
 
 def decomposition_graph(
     d: Decomposition,

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .expression import DataBlock, InterfaceLanguage
-from .federation import PHASES, Federation
+from .federation import Federation
 from .planner import AccessPlan, JoinOp, JoinPlan, PlanNode
 from .rdf import SolutionMapping, TermKind, TriplePattern
+from .services import PHASES, metering_phase
 
 
 class PlanInvariantError(Exception):
@@ -57,14 +58,8 @@ class ExecutionTrace:
             json.dumps({"t": t, "answer": m.to_dict()}, sort_keys=True)
             for m, t in self.answers
         ]
-        totals = self.request_totals()
         summary = {
-            "requests": {
-                "source_selection": totals["source_selection"],
-                "planning": totals["planning"],
-                "execution": totals["execution"],
-                "total": totals["total"],
-            },
+            "requests": self.request_totals(),
             "answers": len(self.answers),
             "runtime_s": self.runtime_s,
         }
@@ -277,7 +272,7 @@ def execute(
     """
     trace = ExecutionTrace()
     start = time.perf_counter()
-    with federation.phase("execution"):
+    with metering_phase("execution"):
         for m in build_stream(node, federation):
             now = time.perf_counter() - start
             trace.answers.append((m, now))

@@ -6,10 +6,9 @@ OPTIONAL and FILTER take part in parsing and language-membership checks but
 carry no evaluation semantics here; the executable core is basic graph
 patterns plus VALUES.
 
-Each simulated service advertises one of four languages that order by
-expressiveness: single triple patterns (TPF), triple patterns with inline
-bindings (brTPF), conjunctive patterns (BGP), and the whole fragment
-(SPARQL endpoints).
+Each simulated service advertises one of three languages, each contained
+in the next: single triple patterns (TPF), triple patterns with inline
+bindings (brTPF), and the whole fragment (SPARQL endpoints).
 """
 
 from __future__ import annotations
@@ -137,7 +136,6 @@ def bgp_expression(patterns: tuple[TriplePattern, ...] | list[TriplePattern]) ->
 class InterfaceLanguage(Enum):
     TP = "tp"
     TP_VALUES = "tp_values"
-    BGP = "bgp"
     CORE_SPARQL = "core_sparql"
 
 
@@ -149,8 +147,6 @@ def in_language(e: Expression, lang: InterfaceLanguage) -> bool:
         return isinstance(e, TriplePattern) or (
             isinstance(e, Values) and isinstance(e.inner, TriplePattern)
         )
-    if lang is InterfaceLanguage.BGP:
-        return bgp_patterns(e) is not None
     if lang is InterfaceLanguage.CORE_SPARQL:
         return _is_core(e)
     raise TypeError(f"unknown language: {lang!r}")
@@ -164,20 +160,6 @@ def _is_core(e: Expression) -> bool:
     if isinstance(e, (Filter, Values, Select)):
         return _is_core(e.inner)
     return False
-
-
-_CONTAINMENTS = {
-    (InterfaceLanguage.TP, InterfaceLanguage.TP_VALUES),
-    (InterfaceLanguage.TP, InterfaceLanguage.BGP),
-    (InterfaceLanguage.TP, InterfaceLanguage.CORE_SPARQL),
-    (InterfaceLanguage.TP_VALUES, InterfaceLanguage.CORE_SPARQL),
-    (InterfaceLanguage.BGP, InterfaceLanguage.CORE_SPARQL),
-}
-
-
-def language_contained(a: InterfaceLanguage, b: InterfaceLanguage) -> bool:
-    """True when every expression of ``a`` is also an expression of ``b``."""
-    return a is b or (a, b) in _CONTAINMENTS
 
 
 class UnsupportedExpressionError(Exception):

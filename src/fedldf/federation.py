@@ -15,14 +15,11 @@ data files are all load errors; nothing is skipped silently.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rdf import Graph, NTriplesError, TriplePattern, load_ntriples
-from .services import InterfaceSpec, ServiceSim
-
-PHASES = ("source_selection", "planning", "execution")
+from .services import PHASES, InterfaceSpec, ServiceSim, metering_phase
 
 
 class ManifestError(Exception):
@@ -68,20 +65,6 @@ class Federation:
         for svc in self.services:
             svc.reset_counters()
 
-    @contextmanager
-    def phase(self, name: str):
-        """Attribute requests made inside the block to the named phase."""
-        if name not in PHASES:
-            raise ValueError(f"unknown phase {name!r}")
-        previous = [svc.phase for svc in self.services]
-        for svc in self.services:
-            svc.phase = name
-        try:
-            yield
-        finally:
-            for svc, old in zip(self.services, previous):
-                svc.phase = old
-
     def requests_by_phase(self) -> dict[str, dict[str, int]]:
         """Per-phase, per-service request counts, zero-filled."""
         table: dict[str, dict[str, int]] = {p: {} for p in PHASES}
@@ -97,35 +80,18 @@ class Federation:
         return sum(svc.polite_empty_count for svc in self.services)
 
 
-class SourceMap:
-    """Relevant sources per triple pattern, as found by source selection."""
-
-    def __init__(self, entries: Mapping[TriplePattern, frozenset[str]]):
-        self._entries = dict(entries)
-
-    def __getitem__(self, pattern: TriplePattern) -> frozenset[str]:
-        return self._entries[pattern]
-
-    def get(self, pattern: TriplePattern) -> frozenset[str]:
-        return self._entries.get(pattern, frozenset())
-
-    def patterns(self) -> tuple[TriplePattern, ...]:
-        return tuple(self._entries)
-
-    def items(self):
-        return self._entries.items()
+# Relevant sources per triple pattern, as found by source selection.
+SourceMap = dict[TriplePattern, frozenset[str]]
 
 
 def select_sources(federation: Federation, patterns: Sequence[TriplePattern]) -> SourceMap:
     """Ask every service about every pattern: exactly |services| * |patterns|
     requests, attributed to the source-selection phase."""
-    found: dict[TriplePattern, frozenset[str]] = {}
-    with federation.phase("source_selection"):
-        for pattern in patterns:
-            found[pattern] = frozenset(
-                svc.uri for svc in federation.services if svc.ask(pattern)
-            )
-    return SourceMap(found)
+    with metering_phase("source_selection"):
+        return {
+            pattern: frozenset(svc.uri for svc in federation.services if svc.ask(pattern))
+            for pattern in patterns
+        }
 
 
 _INTERFACE_BUILDERS = {

@@ -105,6 +105,30 @@ def variant_plan(variant: str, decomposition: Decomposition, federation: Federat
     return plan(decomposition, federation, use_bind_join=(variant == "decomposer_ps_pbj"))
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """The start of a query run: the relevant sources of each pattern and
+    the variant's decomposition, or None and the pattern no source matches."""
+
+    sources: SourceMap
+    decomposition: Decomposition | None
+    unmatched: TriplePattern | None = None
+
+
+def prepare(
+    federation: Federation, patterns: tuple[TriplePattern, ...], variant: str
+) -> Prepared:
+    """Start a query run: fresh counters, source selection, then the
+    variant's decomposition.  A pattern that matches nowhere makes the
+    answer empty, with only the source-selection requests on the meter."""
+    federation.reset_counters()
+    sources = select_sources(federation, patterns)
+    try:
+        return Prepared(sources, variant_decomposition(variant, patterns, sources, federation))
+    except NoRelevantSourceError as exc:
+        return Prepared(sources, None, exc.pattern)
+
+
 def project_answers(
     parsed: Select, answers: frozenset[SolutionMapping]
 ) -> frozenset[SolutionMapping]:
@@ -152,29 +176,21 @@ def run(config: RunConfig) -> dict:
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
     for rep in range(1, config.repetitions + 1):
-        federation.reset_counters()
+        prepared = prepare(federation, patterns, config.variant)
+        decomposition = prepared.decomposition
         record: dict = {"repetition": rep}
-        sources = select_sources(federation, patterns)
-        try:
-            decomposition = variant_decomposition(config.variant, patterns, sources, federation)
-        except NoRelevantSourceError as exc:
-            # Nothing can match: the run short-circuits to an empty answer
-            # with only the source-selection requests on the meter.
+        if decomposition is None:
             trace = ExecutionTrace(requests=federation.requests_by_phase())
-            record.update(_trace_metrics(trace, config))
-            record["unmatched_pattern"] = str(exc.pattern)
+            record["unmatched_pattern"] = str(prepared.unmatched)
             report.setdefault("decomposition", None)
-            report["runs"].append(record)
-            _write_trace(config, rep, trace)
-            continue
-
-        if "decomposition" not in report:
-            report["decomposition"] = describe_decomposition(
-                decomposition, patterns, sources, federation
-            )
-        node = variant_plan(config.variant, decomposition, federation)
-        trace = project_trace(parsed, execute(node, federation, timeout_s=config.timeout_s))
-        record.update(_trace_metrics(trace, config))
+        else:
+            if "decomposition" not in report:
+                report["decomposition"] = describe_decomposition(
+                    decomposition, patterns, prepared.sources, federation
+                )
+            node = variant_plan(config.variant, decomposition, federation)
+            trace = project_trace(parsed, execute(node, federation, timeout_s=config.timeout_s))
+        record.update(_trace_metrics(trace))
         report["runs"].append(record)
         _write_trace(config, rep, trace)
 
@@ -205,7 +221,7 @@ def describe_decomposition(
     }
 
 
-def _trace_metrics(trace: ExecutionTrace, config: RunConfig) -> dict:
+def _trace_metrics(trace: ExecutionTrace) -> dict:
     totals = trace.request_totals()
     metrics = {
         "answers": len(trace.answer_set()),
@@ -252,16 +268,11 @@ def oracle_check(manifest: Path, query: Path, variant: str = "decomposer_ps_pbj"
     federation, parsed, patterns = load_inputs(manifest, query)
     expected = oracle_answers(federation, parsed, patterns)
 
-    federation.reset_counters()
-    sources = select_sources(federation, patterns)
-    try:
-        decomposition = variant_decomposition(variant, patterns, sources, federation)
-    except NoRelevantSourceError:
-        got: frozenset[SolutionMapping] = frozenset()
-    else:
+    decomposition = prepare(federation, patterns, variant).decomposition
+    got: frozenset[SolutionMapping] = frozenset()
+    if decomposition is not None:
         node = variant_plan(variant, decomposition, federation)
-        trace = execute(node, federation)
-        got = project_answers(parsed, trace.answer_set())
+        got = project_answers(parsed, execute(node, federation).answer_set())
 
     missing = expected - got
     extra = got - expected

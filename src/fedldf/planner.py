@@ -25,6 +25,7 @@ from typing import Union as TyUnion
 
 from .decomposer import Decomposition, DecompositionEntry
 from .federation import Federation
+from .services import metering_phase
 
 
 class JoinOp(Enum):
@@ -41,12 +42,6 @@ class AccessPlan:
     @property
     def variables(self) -> frozenset[str]:
         return self.entry.variables
-
-    def card_at(self, uri: str) -> int:
-        for found, n in self.cards:
-            if found == uri:
-                return n
-        raise KeyError(uri)
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ def estimate_cardinality(
     entry: DecompositionEntry, federation: Federation
 ) -> tuple[tuple[tuple[str, int], ...], int]:
     """Per-source and total counts for the entry, one request per source."""
-    with federation.phase("planning"):
+    with metering_phase("planning"):
         cards = tuple(
             (uri, federation.service(uri).count(entry.expression()))
             for uri in federation.ordered(entry.sources)
@@ -172,9 +167,3 @@ def explain_plan(node: PlanNode, patterns=None, indent: str = "") -> str:
         return [head] + render(node.left, indent + "  ") + render(node.right, indent + "  ")
 
     return "\n".join(render(node, indent))
-
-
-def plan_leaves(node: PlanNode) -> tuple[AccessPlan, ...]:
-    if isinstance(node, AccessPlan):
-        return (node,)
-    return plan_leaves(node.left) + plan_leaves(node.right)

@@ -112,10 +112,6 @@ class TriplePattern:
     def variables(self) -> frozenset[str]:
         return frozenset(t.var_name for t in (self.s, self.p, self.o) if t.is_variable)
 
-    @property
-    def is_concrete(self) -> bool:
-        return not any(t.is_variable for t in (self.s, self.p, self.o))
-
     def substitute(self, binding: "SolutionMapping") -> "TriplePattern":
         """Replace every variable bound in ``binding`` with its value."""
 
@@ -234,9 +230,6 @@ class Graph:
 
     def __contains__(self, t: Triple) -> bool:
         return t in self.triples
-
-    def union(self, other: "Graph") -> "Graph":
-        return Graph(self.triples | other.triples)
 
     @staticmethod
     def union_all(graphs: Iterable["Graph"]) -> "Graph":

@@ -20,14 +20,21 @@ triples without keeping them, and ``ask`` stops at the first match; neither
 stores anything.  ``reset_counters`` clears the memo, so nothing carries
 over from one query run to the next.  A memo hit is still metered as one
 request with the same kind, detail, phase, page and rows.
+
+Requests are attributed to the phase of the current query run, which
+``metering_phase`` sets for a block.  There is one phase at a time, shared
+by every service, held in a context variable and so scoped to the current
+thread or context; outside any block requests count as execution.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Iterator
 
 from .expression import (
     Expression,
@@ -42,6 +49,23 @@ from .rdf import Graph, SolutionMapping, TriplePattern, count_matches, has_match
 
 # An expression's result: the evaluated set, or the same rows in page order.
 _Result = frozenset[SolutionMapping] | tuple[SolutionMapping, ...]
+
+PHASES = ("source_selection", "planning", "execution")
+
+_phase: ContextVar[str] = ContextVar("fedldf_phase", default="execution")
+
+
+@contextmanager
+def metering_phase(name: str) -> Iterator[None]:
+    """Attribute requests made inside the block, at any service, to the
+    named phase; the enclosing phase comes back when the block ends."""
+    if name not in PHASES:
+        raise ValueError(f"unknown phase {name!r}")
+    token = _phase.set(name)
+    try:
+        yield
+    finally:
+        _phase.reset(token)
 
 
 class MetadataKind(Enum):
@@ -119,24 +143,13 @@ class PageTokenError(ServiceError):
 class ServiceSim:
     """Simulated LDF service over an immutable graph.
 
-    Counters are guarded by a lock so concurrent probes stay exact.  The
-    optional ``count_noise`` hook distorts reported cardinalities without
-    touching result pages; it defaults to off and is never used in tests
-    that check exact numbers.
+    Counters are guarded by a lock so concurrent probes stay exact.
     """
 
-    def __init__(
-        self,
-        uri: str,
-        spec: InterfaceSpec,
-        graph: Graph,
-        count_noise: Callable[[int], int] | None = None,
-    ):
+    def __init__(self, uri: str, spec: InterfaceSpec, graph: Graph):
         self.uri = uri
         self.spec = spec
         self.graph = graph
-        self.count_noise = count_noise
-        self.phase = "execution"
         self.requests_by_phase: dict[str, int] = {}
         self.request_log: list[RequestRecord] = []
         self.polite_empty_count = 0
@@ -154,8 +167,8 @@ class ServiceSim:
             self._results = {}
 
     def _record(self, kind: str, detail: str, page: int | None = None, rows: int | None = None) -> None:
+        phase = _phase.get()
         with self._lock:
-            phase = self.phase
             self.requests_by_phase[phase] = self.requests_by_phase.get(phase, 0) + 1
             self.request_log.append(RequestRecord(kind, detail, phase, page, rows))
 
@@ -204,10 +217,8 @@ class ServiceSim:
         if isinstance(expression, TriplePattern):
             # Most counted patterns are later probed with bindings, never
             # paged, so their rows are counted rather than kept.
-            exact = count_matches(self.graph, expression)
-        else:
-            exact = len(self._result(expression))
-        return self.count_noise(exact) if self.count_noise else exact
+            return count_matches(self.graph, expression)
+        return len(self._result(expression))
 
     def ask(self, pattern: TriplePattern) -> bool:
         """Whether the pattern has at least one match here."""
@@ -235,9 +246,7 @@ class ServiceSim:
         return result
 
     def _estimate(self, total: int) -> int | None:
-        if self.spec.metadata is MetadataKind.NONE:
-            return None
-        return self.count_noise(total) if self.count_noise else total
+        return None if self.spec.metadata is MetadataKind.NONE else total
 
     def _paged(self, results: tuple[SolutionMapping, ...], page: int) -> Page:
         size = self.spec.page_size

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from fedldf.cli import EXIT_INVARIANT, EXIT_LOAD, EXIT_OK, EXIT_TIMEOUT, main
 from fedldf.harness import InvariantViolation
 
@@ -140,12 +142,15 @@ def test_decompose_command_explain(fixtures_dir, capsys):
     ]
 
 
-def test_decompose_command_hopeless_pattern(fixtures_dir, capsys):
-    code = main(_args(fixtures_dir, "decompose", "fex4_f1.json", "absent.rq"))
+@pytest.mark.parametrize("command", ["decompose", "plan"])
+def test_decompose_command_hopeless_pattern(fixtures_dir, capsys, command):
+    code = main(_args(fixtures_dir, command, "fex4_f1.json", "absent.rq"))
     assert code == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "empty answer" in captured.err
+    assert captured.err == (
+        "empty answer: no relevant source for ?a <http://example.org/absent> ?b\n"
+    )
 
 
 def test_plan_command_explain(fixtures_dir, capsys):

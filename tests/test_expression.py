@@ -19,7 +19,6 @@ from fedldf.expression import (
     evaluate_expression,
     expression_vars,
     in_language,
-    language_contained,
 )
 from fedldf.rdf import Graph
 
@@ -34,10 +33,7 @@ VALUES_TP = Values(TP3, DataBlock(("y",), ((ex("y1"),),)))
 
 TP_L = InterfaceLanguage.TP
 TPV_L = InterfaceLanguage.TP_VALUES
-BGP_L = InterfaceLanguage.BGP
 CORE_L = InterfaceLanguage.CORE_SPARQL
-
-ALL_LANGS = (TP_L, TPV_L, BGP_L, CORE_L)
 
 
 def test_expression_vars_union():
@@ -79,39 +75,19 @@ def test_bgp_patterns_flattens_left_deep():
 @pytest.mark.parametrize(
     "expr,langs",
     [
-        (TP1, {TP_L: True, TPV_L: True, BGP_L: True, CORE_L: True}),
-        (BGP12, {TP_L: False, TPV_L: False, BGP_L: True, CORE_L: True}),
-        (VALUES_TP, {TP_L: False, TPV_L: True, BGP_L: False, CORE_L: True}),
-        (Values(BGP12, DataBlock((), ())), {TP_L: False, TPV_L: False, BGP_L: False, CORE_L: True}),
-        (Union(TP1, TP2), {TP_L: False, TPV_L: False, BGP_L: False, CORE_L: True}),
-        (Optional(TP1, TP2), {TP_L: False, TPV_L: False, BGP_L: False, CORE_L: True}),
-        (Filter(TP1, "?x != ?y"), {TP_L: False, TPV_L: False, BGP_L: False, CORE_L: True}),
-        (Select(None, BGP12), {TP_L: False, TPV_L: False, BGP_L: False, CORE_L: True}),
+        (TP1, {TP_L: True, TPV_L: True, CORE_L: True}),
+        (BGP12, {TP_L: False, TPV_L: False, CORE_L: True}),
+        (VALUES_TP, {TP_L: False, TPV_L: True, CORE_L: True}),
+        (Values(BGP12, DataBlock((), ())), {TP_L: False, TPV_L: False, CORE_L: True}),
+        (Union(TP1, TP2), {TP_L: False, TPV_L: False, CORE_L: True}),
+        (Optional(TP1, TP2), {TP_L: False, TPV_L: False, CORE_L: True}),
+        (Filter(TP1, "?x != ?y"), {TP_L: False, TPV_L: False, CORE_L: True}),
+        (Select(None, BGP12), {TP_L: False, TPV_L: False, CORE_L: True}),
     ],
 )
 def test_language_membership_matrix(expr, langs):
     for lang, expected in langs.items():
         assert in_language(expr, lang) is expected
-
-
-def test_language_containment_order():
-    assert language_contained(TP_L, TPV_L)
-    assert language_contained(TP_L, BGP_L)
-    assert language_contained(TP_L, CORE_L)
-    assert language_contained(TPV_L, CORE_L)
-    assert language_contained(BGP_L, CORE_L)
-    for lang in ALL_LANGS:
-        assert language_contained(lang, lang)
-
-
-def test_bgp_and_values_languages_incomparable():
-    assert not language_contained(BGP_L, TPV_L)
-    assert not language_contained(TPV_L, BGP_L)
-    # witnesses for both directions
-    assert in_language(BGP12, BGP_L) and not in_language(BGP12, TPV_L)
-    assert in_language(VALUES_TP, TPV_L) and not in_language(VALUES_TP, BGP_L)
-    assert not language_contained(CORE_L, BGP_L)
-    assert not language_contained(TPV_L, TP_L)
 
 
 def _small_expressions(depth: int):
@@ -133,15 +109,13 @@ def _small_expressions(depth: int):
 
 
 def test_containment_implies_membership_exhaustively():
+    """The languages nest: TP within TP_VALUES within CORE_SPARQL."""
     expressions = list(_small_expressions(2))
     assert len(expressions) > 100
-    for a in ALL_LANGS:
-        for b in ALL_LANGS:
-            if not language_contained(a, b):
-                continue
-            for e in expressions:
-                if in_language(e, a):
-                    assert in_language(e, b), f"{a} member escaped {b}: {e}"
+    for smaller, larger in ((TP_L, TPV_L), (TPV_L, CORE_L)):
+        for e in expressions:
+            if in_language(e, smaller):
+                assert in_language(e, larger), f"{smaller} member escaped {larger}: {e}"
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from fedldf.expression import InterfaceLanguage
 from fedldf.federation import Federation, ManifestError, load_federation, select_sources
 from fedldf.rdf import match_pattern
-from fedldf.services import InterfaceSpec, ServiceSim
+from fedldf.services import InterfaceSpec, ServiceSim, metering_phase
 
 from helpers import (
     REFERENCE_BGP,
@@ -152,17 +152,25 @@ def test_federation_rejects_duplicate_service_uris():
 
 
 def test_phase_context_restores(fed_base):
-    svc = fed_base.services[0]
-    assert svc.phase == "execution"
-    with fed_base.phase("planning"):
-        assert svc.phase == "planning"
-        with fed_base.phase("source_selection"):
-            assert svc.phase == "source_selection"
-        assert svc.phase == "planning"
-    assert svc.phase == "execution"
+    c1, c2 = fed_base.services
+    c1.ask(TP_POSITION)
+    with metering_phase("planning"):
+        c1.ask(TP_POSITION)
+        with metering_phase("source_selection"):
+            c1.ask(TP_POSITION)
+            c2.ask(TP_POSITION)
+        c2.ask(TP_POSITION)
     with pytest.raises(ValueError):
-        with fed_base.phase("warmup"):
+        with metering_phase("warmup"):
             pass
+    c1.ask(TP_POSITION)
+    assert [r.phase for r in c1.request_log] == [
+        "execution",
+        "planning",
+        "source_selection",
+        "execution",
+    ]
+    assert [r.phase for r in c2.request_log] == ["source_selection", "planning"]
 
 
 def test_union_graph(fed_base):

@@ -15,6 +15,7 @@ from fedldf.harness import (
     load_inputs,
     oracle_answers,
     oracle_check,
+    prepare,
     run,
 )
 
@@ -197,6 +198,27 @@ def test_run_trace_holds_projected_deduplicated_answers(fixtures_dir, tmp_path, 
     (rec,) = report["runs"]
     assert rec["answers"] == 1
     assert rec["dief"] == pytest.approx(summary["runtime_s"] - rows[0]["t"])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prepare_meters_only_source_selection_on_hopeless_pattern(fixtures_dir, variant):
+    federation, _, patterns = load_inputs(
+        fixtures_dir / "fex4_f1.json", fixtures_dir / "absent.rq"
+    )
+    (absent,) = patterns
+    for _ in range(2):
+        # each call starts from fresh counters, so the totals never add up
+        prepared = prepare(federation, patterns, variant)
+        assert prepared.decomposition is None
+        assert prepared.unmatched == absent
+        assert prepared.sources == {absent: frozenset()}
+        assert federation.requests_by_phase() == {
+            "source_selection": {"c1": 1, "c2": 1},
+            "planning": {"c1": 0, "c2": 0},
+            "execution": {"c1": 0, "c2": 0},
+        }
+        for svc in federation:
+            assert [(r.kind, r.phase) for r in svc.request_log] == [("ask", "source_selection")]
 
 
 def test_run_short_circuits_on_hopeless_pattern(fixtures_dir):

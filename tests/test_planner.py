@@ -14,7 +14,6 @@ from fedldf.planner import (
     explain_plan,
     pick_join_operator,
     plan,
-    plan_leaves,
 )
 from fedldf.rdf import Graph
 from fedldf.services import InterfaceSpec, ServiceSim
@@ -222,16 +221,6 @@ def test_plan_cartesian_fallback_picks_smallest():
     # the q-pattern has cardinality 1 < 2, so it seeds despite source order
     assert node.left.entry.patterns == (right,)
     assert node.right.entry.patterns == (left,)
-
-
-def test_plan_leaves_partition_entries(fed_f1):
-    sources = select_sources(fed_f1, REFERENCE_BGP)
-    d = decompose(REFERENCE_BGP, sources, fed_f1, prune=True)
-    node = plan(d, fed_f1)
-    leaves = plan_leaves(node)
-    assert sorted(str(l.entry.patterns) for l in leaves) == sorted(
-        str(e.patterns) for e in d.entries
-    )
 
 
 def test_explain_plan_mentions_operators_and_cards(fed_f1):

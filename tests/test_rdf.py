@@ -131,7 +131,7 @@ def test_join_filters_incompatible():
 
 
 def test_eval_bgp_reference_federation_answer():
-    union = G_C1.union(G_C2)
+    union = Graph.union_all([G_C1, G_C2])
     assert eval_bgp(union, REFERENCE_BGP) == frozenset({REFERENCE_ANSWER})
 
 
@@ -141,13 +141,13 @@ def test_eval_bgp_rejects_empty():
 
 
 def test_eval_bgp_no_join_partner():
-    union = G_C1.union(G_C2)
+    union = Graph.union_all([G_C1, G_C2])
     got = eval_bgp(union, [tp("?x", "position", "president"), tp("?y", "successor", "?s")])
     assert got == frozenset()
 
 
 def test_eval_bgp_permutation_invariant_on_reference():
-    union = G_C1.union(G_C2)
+    union = Graph.union_all([G_C1, G_C2])
     expected = frozenset({REFERENCE_ANSWER})
     rng = random.Random(7)
     patterns = list(REFERENCE_BGP)
@@ -294,6 +294,6 @@ def test_parse_ntriples_malformed_line_reports_position():
 
 
 def test_graph_union_is_set_union():
-    union = G_C1.union(G_C2)
+    union = Graph.union_all([G_C1, G_C2])
     assert len(union) == 4
     assert triple("y1", "sameAs", "p1") in union

@@ -24,6 +24,7 @@ from fedldf.services import (
     Page,
     PageTokenError,
     ServiceSim,
+    metering_phase,
 )
 
 from helpers import drain, ex, sm, tp, triple
@@ -182,10 +183,10 @@ def test_invalid_page_tokens():
 
 def test_request_log_phases_and_rows():
     svc = ServiceSim("c2", InterfaceSpec.brtpf(), G_C2)
-    svc.phase = "planning"
-    svc.count(TP4)
-    svc.phase = "execution"
-    svc.values_evaluate(TP4, DataBlock(("y",), ((ex("y1"),),)))
+    with metering_phase("planning"):
+        svc.count(TP4)
+    with metering_phase("execution"):
+        svc.values_evaluate(TP4, DataBlock(("y",), ((ex("y1"),),)))
     assert svc.requests_by_phase == {"planning": 1, "execution": 1}
     assert svc.request_log[0].kind == "count"
     assert svc.request_log[1].kind == "values"
@@ -208,12 +209,28 @@ def test_counter_thread_safety():
     assert svc.total_requests() == 1600
 
 
-def test_count_noise_hook_defaults_off():
-    noisy = ServiceSim("c", InterfaceSpec.tpf(), _bulk_graph(10), count_noise=lambda n: n + 5)
-    assert noisy.count(tp("?s", "p", "?o")) == 15
-    assert noisy.evaluate(tp("?s", "p", "?o")).total_estimate == 15
-    clean = ServiceSim("c", InterfaceSpec.tpf(), _bulk_graph(10))
-    assert clean.count(tp("?s", "p", "?o")) == 10
+def test_metering_phase_is_scoped_to_its_thread():
+    svc = ServiceSim("c", InterfaceSpec.tpf(), _bulk_graph(3))
+    pattern = tp("?s", "p", "?o")
+    entered, release = threading.Event(), threading.Event()
+
+    def plan_elsewhere():
+        with metering_phase("planning"):
+            entered.set()
+            release.wait(5)
+            svc.count(pattern)
+
+    worker = threading.Thread(target=plan_elsewhere)
+    worker.start()
+    assert entered.wait(5)
+    svc.evaluate(pattern)
+    release.set()
+    worker.join(5)
+    assert not worker.is_alive()
+    assert [(r.kind, r.phase) for r in svc.request_log] == [
+        ("evaluate", "execution"),
+        ("count", "planning"),
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,12 +334,12 @@ def _memo_scenarios(draw):
 
 
 def _request(svc: ServiceSim, phase, kind, expression, block, page):
-    svc.phase = phase
-    if kind == "count":
-        return svc.count(expression)
-    if kind == "evaluate":
-        return _outcome(lambda: svc.evaluate(expression, page))
-    return _outcome(lambda: svc.values_evaluate(expression, block, page))
+    with metering_phase(phase):
+        if kind == "count":
+            return svc.count(expression)
+        if kind == "evaluate":
+            return _outcome(lambda: svc.evaluate(expression, page))
+        return _outcome(lambda: svc.values_evaluate(expression, block, page))
 
 
 @settings(max_examples=80, deadline=None)
