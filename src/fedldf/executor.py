@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .expression import DataBlock, InterfaceLanguage
 from .federation import Federation
 from .planner import AccessPlan, JoinOp, JoinPlan, PlanNode
-from .rdf import SolutionMapping, TermKind, TriplePattern
-from .services import PHASES, metering_phase
+from .rdf import SolutionMapping
+from .services import PHASES, DeadlineExceeded, metering_deadline, metering_phase
 
 
 class PlanInvariantError(Exception):
@@ -124,19 +125,6 @@ def symmetric_hash_join(
         side = 1 - side
 
 
-def _instantiable(pattern: TriplePattern, binding: SolutionMapping) -> bool:
-    """Whether substituting ``binding`` yields a well-formed pattern.
-
-    A literal bound into subject or predicate position can never match a
-    triple, so such probes are skipped instead of sent."""
-    for term in (pattern.s, pattern.p):
-        if term.is_variable:
-            value = binding.get(term.var_name)
-            if value is not None and value.kind is TermKind.LITERAL:
-                return False
-    return True
-
-
 class _Block:
     """Open bind-join block for one inner source: the projected bindings to
     send (deduplicated) and the outer rows waiting for its results."""
@@ -193,7 +181,7 @@ def bind_join(
                 )
             (pattern,) = entry.patterns
             for binding in block.bindings:
-                if not _instantiable(pattern, binding):
+                if not pattern.instantiable(binding):
                     continue
                 bound = pattern.substitute(binding)
                 page = service.evaluate(bound)
@@ -266,19 +254,27 @@ def execute(
 ) -> ExecutionTrace:
     """Run the plan to completion (or timeout), collecting the trace.
 
+    With ``timeout_s`` the run stops at the first answer or request after
+    the deadline: that answer is kept, that request is served, and the
+    next request is refused, so a plan that yields nothing stops too.
+
     The trace's request table reflects the services' full counters, so the
     source-selection and planning requests made earlier for the same query
     appear under their own phases.  Callers reset counters between queries.
     """
     trace = ExecutionTrace()
     start = time.perf_counter()
-    with metering_phase("execution"):
-        for m in build_stream(node, federation):
-            now = time.perf_counter() - start
-            trace.answers.append((m, now))
-            if timeout_s is not None and now >= timeout_s:
-                trace.timed_out = True
-                break
+    deadline = nullcontext() if timeout_s is None else metering_deadline(start + timeout_s)
+    with metering_phase("execution"), deadline:
+        try:
+            for m in build_stream(node, federation):
+                now = time.perf_counter() - start
+                trace.answers.append((m, now))
+                if timeout_s is not None and now >= timeout_s:
+                    trace.timed_out = True
+                    break
+        except DeadlineExceeded:
+            trace.timed_out = True
         if timeout_s is not None and not trace.timed_out:
             if time.perf_counter() - start >= timeout_s:
                 trace.timed_out = True

@@ -22,7 +22,7 @@ from .rdf import (
     SolutionMapping,
     Term,
     TriplePattern,
-    join_mappings,
+    hash_join,
     match_pattern,
 )
 
@@ -167,10 +167,14 @@ class UnsupportedExpressionError(Exception):
 
 
 def evaluate_expression(graph: Graph, e: Expression) -> frozenset[SolutionMapping]:
-    """Set-semantics evaluation over one graph.
+    """Set-semantics evaluation over one graph, as the simulator answers it.
 
     Supports the executable core: patterns, conjunction, UNION, VALUES and
     SELECT.  OPTIONAL and FILTER are out of evaluation scope and raise.
+    Conjunctions are hash joins; VALUES over a single triple pattern looks
+    each row up in the graph's indexes, and VALUES over anything else is a
+    hash join with the block.  ``rdf.eval_bgp`` and ``rdf.join_mappings``
+    stay the naive reference that checks this evaluator independently.
     """
     if isinstance(e, TriplePattern):
         return match_pattern(graph, e)
@@ -178,11 +182,13 @@ def evaluate_expression(graph: Graph, e: Expression) -> frozenset[SolutionMappin
         left = evaluate_expression(graph, e.left)
         if not left:
             return frozenset()
-        return join_mappings(left, evaluate_expression(graph, e.right))
+        return hash_join(left, evaluate_expression(graph, e.right))
     if isinstance(e, Union):
         return evaluate_expression(graph, e.left) | evaluate_expression(graph, e.right)
     if isinstance(e, Values):
-        return join_mappings(evaluate_expression(graph, e.inner), e.block.mappings())
+        if isinstance(e.inner, TriplePattern):
+            return _bound_pattern(graph, e.inner, e.block)
+        return hash_join(evaluate_expression(graph, e.inner), e.block.mappings())
     if isinstance(e, Select):
         inner = evaluate_expression(graph, e.inner)
         if e.variables is None:
@@ -193,6 +199,19 @@ def evaluate_expression(graph: Graph, e: Expression) -> frozenset[SolutionMappin
             f"{type(e).__name__} has no evaluation semantics in this engine"
         )
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _bound_pattern(
+    graph: Graph, pattern: TriplePattern, block: DataBlock
+) -> frozenset[SolutionMapping]:
+    """``pattern VALUES block``: each row substituted into the pattern and
+    looked up by index, its matches merged with the row.  A row that puts a
+    literal in subject or predicate position matches nothing."""
+    out = set()
+    for row in block.mappings():
+        if pattern.instantiable(row):
+            out.update(m.merged(row) for m in match_pattern(graph, pattern.substitute(row)))
+    return frozenset(out)
 
 
 def summarize(e: Expression) -> str:

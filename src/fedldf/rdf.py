@@ -1,9 +1,12 @@
 """RDF data plane: terms, triples, graphs, patterns, and solution mappings.
 
 Everything here is immutable and hashable so result sets can be plain
-Python sets.  ``eval_bgp`` is the brute-force reference evaluator used as
-ground truth by the rest of the engine; it must stay independent of the
-planner and executor.
+Python sets.  ``eval_bgp`` and its nested-loop ``join_mappings`` are the
+brute-force reference evaluator, used only by the oracle as ground truth;
+they must stay independent of the planner, the executor and the simulator.
+The simulator evaluates with ``hash_join`` and indexed pattern lookups
+instead (``expression.evaluate_expression``), so the oracle checks that
+fast path independently.
 
 Blank nodes are deliberately unsupported.  Literals are compared by exact
 lexical form, with no datatype or language-tag semantics.
@@ -123,6 +126,18 @@ class TriplePattern:
             return t
 
         return TriplePattern(sub(self.s), sub(self.p), sub(self.o))
+
+    def instantiable(self, binding: "SolutionMapping") -> bool:
+        """Whether ``substitute(binding)`` is a well-formed pattern.
+
+        A literal bound into subject or predicate position can match no
+        triple, and the substituted pattern would be rejected."""
+        for t in (self.s, self.p):
+            if t.is_variable:
+                bound = binding.get(t.var_name)
+                if bound is not None and bound.kind is TermKind.LITERAL:
+                    return False
+        return True
 
     def to_triple(self) -> Triple:
         return Triple(self.s, self.p, self.o)
@@ -323,6 +338,44 @@ def join_mappings(
             if a.compatible(b):
                 out.add(a.merged(b))
     return frozenset(out)
+
+
+def hash_join(
+    left: Iterable[SolutionMapping], right: Iterable[SolutionMapping]
+) -> frozenset[SolutionMapping]:
+    """``join_mappings`` through a hash table, for the simulator's evaluator.
+
+    The table is keyed on the variables that every mapping on both sides
+    binds.  Other shared variables, which only some mappings bind (as in a
+    UNION of different domains), are checked with ``compatible`` inside a
+    bucket.  With no key variables there is one bucket: the cartesian
+    product, filtered by ``compatible``.
+    """
+    left = list(left)
+    right = list(right)
+    if not left or not right:
+        return frozenset()
+    left_all, left_every = _domains(left)
+    right_all, right_every = _domains(right)
+    key = tuple(sorted(left_every & right_every))
+    check = bool((left_all & right_all).difference(key))
+    build, probe = (left, right) if len(left) <= len(right) else (right, left)
+    table: dict[tuple[Term, ...], list[SolutionMapping]] = {}
+    for m in build:
+        table.setdefault(tuple(m[v] for v in key), []).append(m)
+    out = set()
+    for a in probe:
+        for b in table.get(tuple(a[v] for v in key), ()):
+            if not check or a.compatible(b):
+                out.add(a.merged(b))
+    return frozenset(out)
+
+
+def _domains(mappings: list[SolutionMapping]) -> tuple[frozenset[str], frozenset[str]]:
+    """The variables some mapping binds, and those every mapping binds."""
+    distinct = {tuple(name for name, _ in m.items()) for m in mappings}
+    names = [frozenset(d) for d in distinct]
+    return frozenset().union(*names), frozenset.intersection(*names)
 
 
 def eval_bgp(graph: Graph, patterns: Iterable[TriplePattern]) -> frozenset[SolutionMapping]:

@@ -4,20 +4,25 @@ A service owns one graph and answers four request kinds: paged evaluation,
 paged evaluation with inline bindings, cardinality lookup, and boolean ask.
 Every call increments the request counter exactly once, including calls
 that are answered with a polite empty page or rejected as interface
-violations, so measured counts always equal the number of calls made.
+violations, so measured counts always equal the number of calls made.  The
+one exception is a call refused at a deadline, which is never served.
 
 A request for an expression outside the service's language is answered
 with an empty page rather than an error, mirroring servers that ignore
 unsupported query features.  Those responses are tallied separately in
 ``polite_empty_count``; a correct client never triggers them.
 
-Simulator cost scales with the request, not the graph.  Each service
-memoizes an expression's result for one query run: ``evaluate``,
-``values_evaluate`` and ``count`` evaluate an expression at most once, and
-pages are slices of one ordered tuple sorted lazily on the first page
-request.  ``count`` on a single triple pattern counts the matching
-triples without keeping them, and ``ask`` stops at the first match; neither
-stores anything.  ``reset_counters`` clears the memo, so nothing carries
+Simulator cost scales with the request, not the graph.  Expressions are
+evaluated with hash joins, and a VALUES block over a triple pattern is
+answered by one indexed lookup per row (``expression.evaluate_expression``).
+Each service memoizes an expression's result for one query run:
+``evaluate``, ``values_evaluate`` and ``count`` evaluate an expression at
+most once, and pages are slices of one ordered tuple sorted lazily on the
+first page request; a triple pattern's rows sort by their printed terms at
+the variable positions, which is the order of the printed substituted
+patterns.  ``count`` on a single triple pattern counts the matching triples
+without keeping them, and ``ask`` stops at the first match; neither stores
+anything.  ``reset_counters`` clears the memo, so nothing carries
 over from one query run to the next.  A memo hit is still metered as one
 request with the same kind, detail, phase, page and rows.
 
@@ -25,11 +30,15 @@ Requests are attributed to the phase of the current query run, which
 ``metering_phase`` sets for a block.  There is one phase at a time, shared
 by every service, held in a context variable and so scoped to the current
 thread or context; outside any block requests count as execution.
+``metering_deadline`` sets a deadline the same way: the first request made
+after it is still served, and any later one raises ``DeadlineExceeded``
+unmetered, so a run stops at its deadline whether or not answers arrive.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -66,6 +75,39 @@ def metering_phase(name: str) -> Iterator[None]:
         yield
     finally:
         _phase.reset(token)
+
+
+class DeadlineExceeded(Exception):
+    """A request came after one that had already found the deadline passed."""
+
+
+class _Deadline:
+    __slots__ = ("at", "passed")
+
+    def __init__(self, at: float) -> None:
+        self.at = at
+        self.passed = False
+
+    def check(self) -> None:
+        if self.passed:
+            raise DeadlineExceeded(f"deadline passed {time.perf_counter() - self.at:.3f}s ago")
+        self.passed = time.perf_counter() >= self.at
+
+
+_deadline: ContextVar[_Deadline | None] = ContextVar("fedldf_deadline", default=None)
+
+
+@contextmanager
+def metering_deadline(at: float) -> Iterator[None]:
+    """Refuse requests made inside the block, at any service, once the
+    ``time.perf_counter()`` instant ``at`` has passed.  The first request
+    after it is served, like the answer that ends a timed-out run; every
+    later one raises ``DeadlineExceeded`` before it is metered."""
+    token = _deadline.set(_Deadline(at))
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
 
 
 class MetadataKind(Enum):
@@ -167,6 +209,9 @@ class ServiceSim:
             self._results = {}
 
     def _record(self, kind: str, detail: str, page: int | None = None, rows: int | None = None) -> None:
+        deadline = _deadline.get()
+        if deadline is not None:
+            deadline.check()
         phase = _phase.get()
         with self._lock:
             self.requests_by_phase[phase] = self.requests_by_phase.get(phase, 0) + 1
@@ -239,7 +284,12 @@ class ServiceSim:
         if isinstance(result, tuple):
             return result
         if isinstance(expression, TriplePattern):
-            key = lambda m: str(expression.substitute(m))
+            # The printed terms at the variable positions, in s, p, o order,
+            # sort exactly as the printed substituted pattern: constants are
+            # equal in every row and no printed term is a prefix of another.
+            terms = (expression.s, expression.p, expression.o)
+            names = [t.var_name for t in terms if t.is_variable]
+            key = lambda m: tuple(str(m[name]) for name in names)
         else:
             key = lambda m: repr(m)
         self._results[expression] = result = tuple(sorted(result, key=key))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -289,6 +290,45 @@ def test_execute_timeout_cuts_the_stream_short():
     trace = execute(_access([tp("?s", "p", "?o")], "t"), fed, timeout_s=0.0)
     assert trace.timed_out
     assert len(trace.answers) == 1
+
+
+class _SlowService(ServiceSim):
+    """Takes ``delay`` seconds to serve each page."""
+
+    delay = 0.02
+
+    def evaluate(self, expression, page=0):
+        time.sleep(self.delay)
+        return super().evaluate(expression, page)
+
+
+def test_execute_stops_at_the_deadline_without_answers():
+    # 20 pages of ?o values, none of which ?o q ?v matches: no answers.
+    rows = [triple(f"s{i}", "p", f"o{i}") for i in range(2000)]
+    fed = Federation(
+        [
+            _SlowService("t", InterfaceSpec.tpf(), Graph(rows)),
+            _SlowService("u", InterfaceSpec.tpf(), Graph([triple("x", "q", "y")])),
+        ]
+    )
+    node = JoinPlan(
+        _access([tp("?s", "p", "?o")], "t"),
+        _access([tp("?o", "q", "?v")], "u"),
+        JoinOp.SHJ,
+        0,
+        0,
+        0,
+    )
+    full = execute(node, fed)
+    full_requests = fed.total_requests()
+    assert not full.timed_out and full.answers == [] and full_requests == 21
+
+    fed.reset_counters()
+    timed = execute(node, fed, timeout_s=0.05)
+    assert timed.timed_out and timed.answers == []
+    assert timed.runtime_s < full.runtime_s / 2
+    assert fed.total_requests() < full_requests
+    assert timed.request_totals()["execution"] == fed.total_requests()
 
 
 def test_trace_jsonl_layout(fed_f1):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedldf.expression import (
     And,
@@ -20,7 +22,18 @@ from fedldf.expression import (
     expression_vars,
     in_language,
 )
-from fedldf.rdf import Graph
+from fedldf.rdf import (
+    EMPTY_MAPPING,
+    Graph,
+    SolutionMapping,
+    Triple,
+    TriplePattern,
+    hash_join,
+    join_mappings,
+    literal,
+    match_pattern,
+    variable,
+)
 
 from helpers import ex, sm, tp, triple
 
@@ -163,3 +176,148 @@ def test_evaluate_optional_and_filter_unsupported():
         evaluate_expression(G, Optional(TP1, TP2))
     with pytest.raises(UnsupportedExpressionError):
         evaluate_expression(G, Filter(TP1, "true"))
+
+
+# -- the simulator's fast paths against the naive reference --------------------
+
+
+def _reference(graph, e):
+    """Evaluation built from ``match_pattern`` and ``join_mappings`` only."""
+    if isinstance(e, TriplePattern):
+        return match_pattern(graph, e)
+    if isinstance(e, And):
+        return join_mappings(_reference(graph, e.left), _reference(graph, e.right))
+    if isinstance(e, Union):
+        return _reference(graph, e.left) | _reference(graph, e.right)
+    if isinstance(e, Values):
+        return join_mappings(_reference(graph, e.inner), e.block.mappings())
+    if isinstance(e, Select):
+        return frozenset(m.restrict(e.variables) for m in _reference(graph, e.inner))
+    raise TypeError(e)
+
+
+_NODES = [ex(f"n{i}") for i in range(4)]
+_PREDICATES = [ex("p"), ex("q")]
+_LITERALS = [literal("l"), literal('say "hi"'), literal("back\\slash")]
+# ``d`` occurs only in VALUES blocks, never in a pattern.
+_NAMES = ["a", "b", "c"]
+
+_graphs = st.lists(
+    st.builds(
+        Triple,
+        st.sampled_from(_NODES),
+        st.sampled_from(_PREDICATES),
+        st.sampled_from(_NODES + _LITERALS),
+    ),
+    max_size=25,
+).map(Graph)
+
+
+def _slot(pool):
+    return st.one_of(st.sampled_from(pool), st.sampled_from(_NAMES).map(variable))
+
+
+_patterns = st.builds(
+    TriplePattern, _slot(_NODES), _slot(_PREDICATES), _slot(_NODES + _LITERALS)
+)
+
+
+@st.composite
+def _blocks(draw):
+    names = draw(st.lists(st.sampled_from(_NAMES + ["d"]), max_size=3, unique=True))
+    row = st.tuples(*(st.sampled_from(_NODES + _PREDICATES + _LITERALS) for _ in names))
+    return DataBlock(tuple(names), tuple(draw(st.lists(row, max_size=5))))
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(And, children, children),
+        st.builds(Union, children, children),
+        st.builds(Values, children, _blocks()),
+        st.builds(Select, st.lists(st.sampled_from(_NAMES), unique=True).map(tuple), children),
+    )
+
+
+_expressions = st.recursive(
+    st.one_of(_patterns, st.builds(Values, _patterns, _blocks())), _compound, max_leaves=5
+)
+
+# Conjunctions whose sides are UNIONs of branches binding different variables,
+# so some shared variables are bound by only some mappings of a side.
+_union_joins = st.builds(
+    And,
+    st.builds(Union, _patterns, _patterns),
+    st.one_of(_patterns, st.builds(Union, _patterns, _patterns)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs, st.one_of(_expressions, _union_joins))
+def test_evaluate_expression_equals_the_reference(graph, e):
+    assert evaluate_expression(graph, e) == _reference(graph, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs, _patterns, _blocks())
+def test_values_over_a_pattern_equals_the_reference(graph, pattern, block):
+    e = Values(pattern, block)
+    assert evaluate_expression(graph, e) == _reference(graph, e)
+
+
+def test_values_rows_binding_literals_into_subject_or_predicate_match_nothing():
+    graph = Graph([triple("s", "p", "o"), triple("s", "p", '"lit"')])
+    block = DataBlock(
+        ("a", "b"),
+        ((literal("s"), ex("p")), (ex("s"), literal("p")), (ex("s"), ex("p"))),
+    )
+    e = Values(tp("?a", "?b", "?c"), block)
+    assert evaluate_expression(graph, e) == _reference(graph, e) == frozenset(
+        {sm(a="s", b="p", c="o"), sm(a="s", b="p", c='"lit"')}
+    )
+
+
+def test_values_over_a_repeated_variable_and_an_absent_block_variable():
+    graph = Graph([triple("n", "p", "n"), triple("n", "p", "m"), triple("m", "p", "m")])
+    block = DataBlock(("x", "d"), ((ex("n"), ex("z")), (ex("k"), ex("z"))))
+    e = Values(tp("?x", "p", "?x"), block)
+    assert evaluate_expression(graph, e) == frozenset({sm(x="n", d="z")})
+    assert evaluate_expression(graph, Values(TP1, DataBlock(("x",), ()))) == frozenset()
+
+
+def test_conjunction_of_unions_with_different_domains():
+    graph = Graph([triple("n0", "p", "n1"), triple("n0", "q", "n2"), triple("n2", "p", "n3")])
+    # Only some left mappings bind ``b`` or ``c``, so neither is a key variable.
+    e = And(Union(tp("?a", "p", "?b"), tp("?a", "q", "?c")), tp("?c", "p", "?b"))
+    assert evaluate_expression(graph, e) == _reference(graph, e) == frozenset(
+        {
+            sm(a="n0", b="n1", c="n0"),
+            sm(a="n2", b="n3", c="n2"),
+            sm(a="n0", b="n3", c="n2"),
+        }
+    )
+
+
+_mappings = st.dictionaries(
+    st.sampled_from(_NAMES), st.sampled_from(_NODES[:2]), max_size=3
+).map(SolutionMapping)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_mappings, max_size=6), st.lists(_mappings, max_size=6))
+def test_hash_join_equals_join_mappings(left, right):
+    assert hash_join(left, right) == join_mappings(left, right)
+
+
+def test_hash_join_edge_cases():
+    a = [sm(x="n0"), sm(x="n1")]
+    b = [sm(y="n2"), sm(y="n3")]
+    assert hash_join(a, b) == join_mappings(a, b)
+    assert len(hash_join(a, b)) == 4
+    assert hash_join([EMPTY_MAPPING], a) == frozenset(a)
+    assert hash_join(a, [EMPTY_MAPPING]) == frozenset(a)
+    assert hash_join([], a) == hash_join(a, []) == frozenset()
+    # ``x`` is shared but bound by only one mapping on the left.
+    mixed = [sm(x="n0", y="n2"), sm(y="n3")]
+    assert hash_join(mixed, [sm(x="n1", y="n3"), sm(x="n0", y="n2")]) == join_mappings(
+        mixed, [sm(x="n1", y="n3"), sm(x="n0", y="n2")]
+    ) == frozenset({sm(x="n1", y="n3"), sm(x="n0", y="n2")})

@@ -16,7 +16,7 @@ from fedldf.expression import (
     evaluate_expression,
     expression_vars,
 )
-from fedldf.rdf import Graph, Triple, TriplePattern, eval_bgp, variable
+from fedldf.rdf import Graph, Triple, TriplePattern, eval_bgp, literal, match_pattern, variable
 from fedldf.services import (
     InterfaceSpec,
     InterfaceViolationError,
@@ -390,3 +390,46 @@ def test_memo_hits_are_metered_and_bad_pages_still_rejected():
     assert svc._results
     svc.reset_counters()
     assert svc._results == {}
+
+
+# -- page order ------------------------------------------------------------------
+
+# URIs where one is a prefix of another and literals holding the characters
+# their printed form escapes, so a printed term that ran into the next one
+# would sort differently from the tuple of printed terms.
+_KEY_NODES = [ex("a"), ex("a!"), ex("ab"), ex("a b")]
+_KEY_OBJECTS = _KEY_NODES + [
+    literal(""),
+    literal("a"),
+    literal('a"'),
+    literal('a"b'),
+    literal("a\\"),
+    literal("a\\b"),
+    literal("a b"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Triple,
+            st.sampled_from(_KEY_NODES),
+            st.sampled_from(_KEY_NODES[:2]),
+            st.sampled_from(_KEY_OBJECTS),
+        ),
+        max_size=40,
+    ),
+    st.builds(
+        TriplePattern,
+        st.one_of(st.sampled_from(_KEY_NODES), st.just(variable("x"))),
+        st.one_of(st.sampled_from(_KEY_NODES[:2]), st.sampled_from(["x", "p"]).map(variable)),
+        st.one_of(st.sampled_from(_KEY_OBJECTS), st.sampled_from(["x", "o"]).map(variable)),
+    ),
+    st.integers(min_value=1, max_value=7),
+)
+def test_pages_follow_the_printed_pattern_order(triples, pattern, page_size):
+    graph = Graph(triples)
+    svc = ServiceSim("c", InterfaceSpec.sparql_endpoint(page_size=page_size), graph)
+    expected = sorted(match_pattern(graph, pattern), key=lambda m: str(pattern.substitute(m)))
+    assert drain(svc, pattern) == expected
