@@ -18,12 +18,12 @@ from enum import Enum
 from typing import Union as TyUnion
 
 from .rdf import (
+    CompiledPattern,
     Graph,
     SolutionMapping,
     Term,
     TriplePattern,
     hash_join,
-    match_pattern,
 )
 
 
@@ -177,7 +177,7 @@ def evaluate_expression(graph: Graph, e: Expression) -> frozenset[SolutionMappin
     stay the naive reference that checks this evaluator independently.
     """
     if isinstance(e, TriplePattern):
-        return match_pattern(graph, e)
+        return CompiledPattern(graph, e).mappings()
     if isinstance(e, And):
         left = evaluate_expression(graph, e.left)
         if not left:
@@ -210,7 +210,8 @@ def _bound_pattern(
     out = set()
     for row in block.mappings():
         if pattern.instantiable(row):
-            out.update(m.merged(row) for m in match_pattern(graph, pattern.substitute(row)))
+            matches = CompiledPattern(graph, pattern.substitute(row)).mappings()
+            out.update(m.merged(row) for m in matches)
     return frozenset(out)
 
 

@@ -1,12 +1,20 @@
 """RDF data plane: terms, triples, graphs, patterns, and solution mappings.
 
 Everything here is immutable and hashable so result sets can be plain
-Python sets.  ``eval_bgp`` and its nested-loop ``join_mappings`` are the
-brute-force reference evaluator, used only by the oracle as ground truth;
-they must stay independent of the planner, the executor and the simulator.
-The simulator evaluates with ``hash_join`` and indexed pattern lookups
-instead (``expression.evaluate_expression``), so the oracle checks that
-fast path independently.
+Python sets.  ``match_pattern``, ``eval_bgp`` and its nested-loop
+``join_mappings`` are the brute-force reference evaluator, used only by the
+oracle as ground truth; they must stay independent of the planner, the
+executor and the simulator.  The simulator evaluates with its own code
+instead (``expression.evaluate_expression``): ``CompiledPattern`` matches a
+triple pattern against the graph's indexes and reads each match off the
+triple without re-checking it, and ``hash_join`` joins.  So the oracle
+checks that fast path independently.
+
+Terms are cheap to hash and print: a ``Term`` computes its hash once and
+caches its printed form, and ``parse_ntriples`` shares one ``Term`` object
+per distinct lexical form within a file, so equal terms of a loaded graph
+are one object.  Equality stays by value, so a term built anywhere else
+equals and hashes like the shared one.
 
 Blank nodes are deliberately unsupported.  Literals are compared by exact
 lexical form, with no datatype or language-tag semantics.
@@ -15,10 +23,11 @@ lexical form, with no datatype or language-tag semantics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Collection, Iterable, Iterator, Mapping
 
 
 class TermKind(Enum):
@@ -29,10 +38,17 @@ class TermKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    """One RDF term. Variables carry their ``?`` prefix in lexical form."""
+    """One RDF term. Variables carry their ``?`` prefix in lexical form.
+
+    The hash is computed once, at construction, and the printed form on the
+    first ``str()``; both live in slots.  Pickling rebuilds from the kind and
+    the lexical form, so the hash follows the loading process's hash seed.
+    """
 
     kind: TermKind
     lexical: str
+    _hash: int = field(init=False, repr=False, compare=False)
+    _printed: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is TermKind.VARIABLE:
@@ -40,6 +56,13 @@ class Term:
                 raise ValueError(f"malformed variable term: {self.lexical!r}")
         elif self.lexical.startswith("?"):
             raise ValueError(f"non-variable term may not start with '?': {self.lexical!r}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.lexical)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Term, (self.kind, self.lexical)
 
     @property
     def is_variable(self) -> bool:
@@ -57,12 +80,19 @@ class Term:
         return self.lexical[1:]
 
     def __str__(self) -> str:
+        try:
+            return self._printed
+        except AttributeError:
+            pass
         if self.kind is TermKind.URI:
-            return f"<{self.lexical}>"
-        if self.kind is TermKind.LITERAL:
+            printed = f"<{self.lexical}>"
+        elif self.kind is TermKind.LITERAL:
             escaped = self.lexical.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        return self.lexical
+            printed = f'"{escaped}"'
+        else:
+            printed = self.lexical
+        object.__setattr__(self, "_printed", printed)
+        return printed
 
 
 def uri(value: str) -> Term:
@@ -150,7 +180,8 @@ class SolutionMapping:
     """Immutable partial mapping from variable names to constant terms.
 
     Bindings are stored sorted by variable name, which makes equal mappings
-    hash equal regardless of construction order.
+    hash equal regardless of construction order.  Pickling rebuilds from the
+    bindings, so the hash follows the loading process's hash seed.
     """
 
     __slots__ = ("_items", "_hash")
@@ -164,6 +195,18 @@ class SolutionMapping:
                 raise ValueError(f"mapping values must be constant: {name} -> {term}")
         self._items = items
         self._hash = hash(items)
+
+    @classmethod
+    def _checked(cls, items: tuple[tuple[str, Term], ...]) -> "SolutionMapping":
+        """A mapping over ``items`` that are already sorted by name, with
+        distinct bare names and constant terms: no copy, sort or check."""
+        m = object.__new__(cls)
+        m._items = items
+        m._hash = hash(items)
+        return m
+
+    def __reduce__(self):
+        return SolutionMapping, (self._items,)
 
     @property
     def domain(self) -> frozenset[str]:
@@ -195,11 +238,11 @@ class SolutionMapping:
     def merged(self, other: "SolutionMapping") -> "SolutionMapping":
         combined = dict(self._items)
         combined.update(other._items)
-        return SolutionMapping(combined)
+        return SolutionMapping._checked(tuple(sorted(combined.items())))
 
     def restrict(self, names: Iterable[str]) -> "SolutionMapping":
         keep = set(names)
-        return SolutionMapping((k, v) for k, v in self._items if k in keep)
+        return SolutionMapping._checked(tuple(kv for kv in self._items if kv[0] in keep))
 
     def to_dict(self) -> dict[str, str]:
         """Rendered form used in trace output: variable name to printed term."""
@@ -282,23 +325,6 @@ def _unify(pattern: TriplePattern, t: Triple) -> SolutionMapping | None:
     return SolutionMapping(binding)
 
 
-def _matches(pattern: TriplePattern, t: Triple) -> bool:
-    """Whether ``_unify`` succeeds, without building the mapping.
-
-    Written apart from ``_unify`` so the reference evaluator shares no code
-    with the simulator's fast paths that tests compare against it.
-    """
-    seen: dict[str, Term] = {}
-    for pat_term, ground in ((pattern.s, t.s), (pattern.p, t.p), (pattern.o, t.o)):
-        if pat_term.is_variable:
-            bound = seen.setdefault(pat_term.lexical, ground)
-            if bound is not ground and bound != ground:
-                return False
-        elif pat_term != ground:
-            return False
-    return True
-
-
 def match_pattern(graph: Graph, pattern: TriplePattern) -> frozenset[SolutionMapping]:
     """All mappings whose substitution into ``pattern`` yields a graph triple.
 
@@ -312,19 +338,100 @@ def match_pattern(graph: Graph, pattern: TriplePattern) -> frozenset[SolutionMap
     return frozenset(out)
 
 
+# Readers of a triple's subject, predicate and object, by position.
+_READ = (attrgetter("s"), attrgetter("p"), attrgetter("o"))
+
+
+class CompiledPattern:
+    """A triple pattern compiled against one graph, for the simulator.
+
+    Compiling picks the smallest index list for the pattern's constants, as
+    ``Graph.candidates`` does, and works out once what every candidate
+    triple still has to pass: the constants that list does not guarantee,
+    and the positions that repeat a variable.  The variables are kept in
+    name order with their positions, so a match is read off the triple as
+    the sorted items of its mapping without building a dict or re-checking
+    the terms.  ``match_pattern`` stays the reference this is checked
+    against, and shares no code with it.
+    """
+
+    __slots__ = ("pool", "checks", "repeats", "names")
+
+    def __init__(self, graph: Graph, pattern: TriplePattern):
+        indexes = (graph._by_s, graph._by_p, graph._by_o)
+        pool: Collection[Triple] = graph.triples
+        chosen = None
+        constants: list[tuple[int, Term]] = []
+        first: dict[str, int] = {}
+        repeats = []
+        for position, term in enumerate((pattern.s, pattern.p, pattern.o)):
+            if term.kind is not TermKind.VARIABLE:
+                constants.append((position, term))
+                found = indexes[position].get(term, ())
+                if chosen is None or len(found) < len(pool):
+                    pool, chosen = found, position
+            elif term.lexical in first:
+                repeats.append((_READ[first[term.lexical]], _READ[position]))
+            else:
+                first[term.lexical] = position
+        self.pool = pool
+        #: (read a position, the constant it must equal) pairs.
+        self.checks = tuple((_READ[at], term) for at, term in constants if at != chosen)
+        #: (read a variable's first position, read a later one) pairs.
+        self.repeats = tuple(repeats)
+        #: (variable name, position) pairs, sorted by name.
+        self.names = tuple(sorted((lexical[1:], at) for lexical, at in first.items()))
+
+    def triples(self) -> Collection[Triple]:
+        """The graph triples the pattern matches."""
+        if not self.checks and not self.repeats:
+            return self.pool
+        return [t for t in self.pool if self._passes(t)]
+
+    def _passes(self, t: Triple) -> bool:
+        for read, term in self.checks:
+            if read(t) != term:
+                return False
+        for read_first, read_later in self.repeats:
+            if read_first(t) != read_later(t):
+                return False
+        return True
+
+    def mappings(self) -> frozenset[SolutionMapping]:
+        """``match_pattern(graph, pattern)``: one mapping per matching triple."""
+        triples = self.triples()
+        make = SolutionMapping._checked
+        if len(self.names) == 1:
+            ((name, at),) = self.names
+            read = _READ[at]
+            return frozenset([make(((name, read(t)),)) for t in triples])
+        if self.names:
+            names = tuple(name for name, _ in self.names)
+            read = attrgetter(*("spo"[at] for _, at in self.names))
+            return frozenset([make(tuple(zip(names, read(t)))) for t in triples])
+        return frozenset([EMPTY_MAPPING]) if triples else frozenset()
+
+    def count(self) -> int:
+        """``len(match_pattern(graph, pattern))``.  Distinct matching triples
+        differ where the pattern has a variable, so they are distinct
+        mappings: the count of matching triples is the count of mappings."""
+        return len(self.triples())
+
+    def exists(self) -> bool:
+        """Whether the pattern matches any triple; stops at the first."""
+        if not self.checks and not self.repeats:
+            return bool(self.pool)
+        return any(self._passes(t) for t in self.pool)
+
+
 def has_match(graph: Graph, pattern: TriplePattern) -> bool:
     """Whether ``pattern`` matches any graph triple; stops at the first."""
-    return any(_matches(pattern, t) for t in graph.candidates(pattern))
+    return CompiledPattern(graph, pattern).exists()
 
 
 def count_matches(graph: Graph, pattern: TriplePattern) -> int:
-    """``len(match_pattern(graph, pattern))`` without building the set.
-
-    Two distinct matching triples differ in a position the pattern holds a
-    variable in, so they yield distinct mappings: the count of matching
-    triples is the count of mappings.
-    """
-    return sum(1 for t in graph.candidates(pattern) if _matches(pattern, t))
+    """``len(match_pattern(graph, pattern))`` without building the set."""
+    return CompiledPattern(graph, pattern).count()
 
 
 def join_mappings(
@@ -417,6 +524,10 @@ def parse_ntriples(text: str, source: str = "<string>") -> Graph:
     Comment lines start with ``#``.  Blank node syntax is a hard error, not
     a skipped line, so unsupported data cannot load silently.
     """
+    # One term per distinct lexical form in the file, so equal terms of the
+    # graph are one object; the tables live only for this call.
+    uris: dict[str, Term] = {}
+    literals: dict[str, Term] = {}
     triples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -428,8 +539,14 @@ def parse_ntriples(text: str, source: str = "<string>") -> Graph:
                 raise NTriplesError(f"{source}:{lineno}: blank nodes are not supported")
             raise NTriplesError(f"{source}:{lineno}: malformed triple: {line!r}")
         s, p, o_uri, o_lit = m.groups()
-        obj = uri(o_uri) if o_uri is not None else literal(_unescape_literal(o_lit))
-        triples.append(Triple(uri(s), uri(p), obj))
+        if o_uri is not None:
+            obj = uris.get(o_uri) or uris.setdefault(o_uri, uri(o_uri))
+        else:
+            lexical = _unescape_literal(o_lit) if "\\" in o_lit else o_lit
+            obj = literals.get(lexical) or literals.setdefault(lexical, literal(lexical))
+        subject = uris.get(s) or uris.setdefault(s, uri(s))
+        predicate = uris.get(p) or uris.setdefault(p, uri(p))
+        triples.append(Triple(subject, predicate, obj))
     return Graph(triples)
 
 

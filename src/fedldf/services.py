@@ -15,16 +15,21 @@ unsupported query features.  Those responses are tallied separately in
 Simulator cost scales with the request, not the graph.  Expressions are
 evaluated with hash joins, and a VALUES block over a triple pattern is
 answered by one indexed lookup per row (``expression.evaluate_expression``).
+Triple patterns are matched by ``rdf.CompiledPattern`` over terms that hash
+from a cached value and print from a cached string; ``rdf.match_pattern``,
+``join_mappings`` and ``eval_bgp`` are left as the oracle's reference.
 Each service memoizes an expression's result for one query run:
 ``evaluate``, ``values_evaluate`` and ``count`` evaluate an expression at
 most once, and pages are slices of one ordered tuple sorted lazily on the
-first page request; a triple pattern's rows sort by their printed terms at
-the variable positions, which is the order of the printed substituted
-patterns.  ``count`` on a single triple pattern counts the matching triples
-without keeping them, and ``ask`` stops at the first match; neither stores
-anything.  ``reset_counters`` clears the memo, so nothing carries
-over from one query run to the next.  A memo hit is still metered as one
-request with the same kind, detail, phase, page and rows.
+first page request.  A triple pattern's rows sort by their printed terms
+at the variable positions, read by index from the rows' sorted items, so
+pages keep the order of the printed substituted patterns.  ``count`` on a
+single triple pattern counts the matching triples without keeping them (the
+length of an index list when no position is left to check), and ``ask``
+stops at the first match; neither stores anything.  ``reset_counters``
+clears the memo, so nothing carries over from one query run to the next.
+A memo hit is still metered as one request with the same kind, detail,
+phase, page and rows.
 
 Requests are attributed to the phase of the current query run, which
 ``metering_phase`` sets for a block.  There is one phase at a time, shared
@@ -287,9 +292,12 @@ class ServiceSim:
             # The printed terms at the variable positions, in s, p, o order,
             # sort exactly as the printed substituted pattern: constants are
             # equal in every row and no printed term is a prefix of another.
+            # Every row binds exactly the pattern's variables, so each one
+            # sits at the same index of the row's name-sorted items.
             terms = (expression.s, expression.p, expression.o)
-            names = [t.var_name for t in terms if t.is_variable]
-            key = lambda m: tuple(str(m[name]) for name in names)
+            order = sorted(expression.variables)
+            at = [order.index(t.var_name) for t in terms if t.is_variable]
+            key = lambda m: tuple([str(m.items()[i][1]) for i in at])
         else:
             key = lambda m: repr(m)
         self._results[expression] = result = tuple(sorted(result, key=key))

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +14,10 @@ from hypothesis import strategies as st
 
 from fedldf.rdf import (
     EMPTY_MAPPING,
+    CompiledPattern,
     Graph,
     NTriplesError,
+    SolutionMapping,
     Term,
     TermKind,
     Triple,
@@ -256,6 +262,203 @@ def test_has_match_on_repeated_concrete_and_open_patterns():
     assert not has_match(Graph(), tp("?x", "?y", "?z"))
     assert count_matches(g, tp("?x", "p", "?x")) == 1
     assert count_matches(g, tp("?x", "?y", "?z")) == 3
+
+
+# -- the compiled matcher against the reference ------------------------------
+
+# One node pool for every position, so that a repeated variable anywhere
+# (``?x ?p ?x``, ``?x ?x ?x``) can match, plus literal objects.
+_NODES = [ex(f"n{i}") for i in range(3)]
+_LITERALS = [literal("n0"), literal('say "n1"'), literal("back\\slash")]
+
+_node_graphs = st.lists(
+    st.builds(
+        Triple,
+        st.sampled_from(_NODES),
+        st.sampled_from(_NODES),
+        st.sampled_from(_NODES + _LITERALS),
+    ),
+    max_size=40,
+).map(Graph)
+
+_any_patterns = st.builds(
+    TriplePattern,
+    _term_or_var(_NODES, ["x", "y"]),
+    _term_or_var(_NODES, ["x", "p"]),
+    _term_or_var(_NODES + _LITERALS, ["x", "y", "o"]),
+)
+
+
+def _assert_compiled_equals_reference(g, pattern):
+    expected = match_pattern(g, pattern)
+    got = CompiledPattern(g, pattern).mappings()
+    assert got == expected
+    for m in got:
+        public = SolutionMapping(dict(m.items()))
+        assert m == public and hash(m) == hash(public)
+        assert m.domain == pattern.variables
+    assert count_matches(g, pattern) == len(expected)
+    assert has_match(g, pattern) == bool(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_graphs, _any_patterns)
+def test_compiled_pattern_equals_the_reference(g, pattern):
+    _assert_compiled_equals_reference(g, pattern)
+
+
+# A graph where ``n0`` is the subject of many triples and the object of few,
+# so a pattern holding both picks the object index and must still check
+# the subject, and the other way round for ``n2``.
+_SKEWED = Graph(
+    [triple("n0", f"p{i}", f"o{i}") for i in range(6)]
+    + [triple("n1", "p0", "n0"), triple("n0", "p1", "n0"), triple("n2", "p0", "n2")]
+    + [triple(f"s{i}", "p2", "n2") for i in range(6)]
+    + [triple("n0", "n0", "n0"), triple("n1", "n1", "n0"), triple("n1", "p0", '"n0"')]
+)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        tp("?x", "?p", "?o"),
+        tp("n0", "?p", "?o"),
+        tp("?s", "p0", "?o"),
+        tp("?s", "?p", "n0"),
+        tp("?s", "?p", '"n0"'),
+        tp("n0", "?p", "n0"),
+        tp("n2", "?p", "n2"),
+        tp("?s", "p0", "n0"),
+        tp("n0", "p1", "?o"),
+        tp("n0", "p1", "n0"),
+        tp("n1", "p0", '"n0"'),
+        tp("n1", "p1", "n0"),
+        tp("?x", "?p", "?x"),
+        tp("?x", "p0", "?x"),
+        tp("?x", "?x", "?o"),
+        tp("?x", "?x", "?x"),
+        tp("?x", "?x", "n0"),
+    ],
+    ids=str,
+)
+def test_compiled_pattern_shapes(pattern):
+    _assert_compiled_equals_reference(_SKEWED, pattern)
+
+
+def test_compiled_pattern_checks_the_constant_its_index_does_not_hold():
+    # ``n0`` heads 8 triples and ends 4, so the object index is chosen and
+    # the subject is checked: (n1 p0 n0) and (n1 n1 n0) are in the object
+    # list but must not match.
+    pattern = tp("n0", "?p", "n0")
+    assert len(_SKEWED._by_o[ex("n0")]) < len(_SKEWED._by_s[ex("n0")])
+    assert CompiledPattern(_SKEWED, pattern).mappings() == frozenset(
+        {sm(p="p1"), sm(p="n0")}
+    )
+    assert count_matches(_SKEWED, pattern) == 2
+
+
+def test_private_constructor_equals_the_public_one():
+    items = (("a", ex("n0")), ("b", literal("v")), ("c", ex("n1")))
+    checked = SolutionMapping._checked(items)
+    public = SolutionMapping({"c": ex("n1"), "a": ex("n0"), "b": literal("v")})
+    assert checked == public and hash(checked) == hash(public)
+    assert checked.items() == public.items()
+    left, right = sm(x="n0", y="n1"), sm(z="n2", y="n1")
+    assert left.merged(right) == SolutionMapping({**dict(left.items()), **dict(right.items())})
+    assert left.merged(right).items() == (("x", ex("n0")), ("y", ex("n1")), ("z", ex("n2")))
+    assert public.restrict(["c", "a", "zz"]) == SolutionMapping({"a": ex("n0"), "c": ex("n1")})
+    assert public.restrict([]) == EMPTY_MAPPING
+    assert hash(public.restrict([])) == hash(EMPTY_MAPPING)
+
+
+# -- terms ------------------------------------------------------------------
+
+EX_A = "http://example.org/a"
+
+
+def test_parsed_graph_shares_one_term_per_lexical_form():
+    text = "\n".join(
+        [
+            '<http://example.org/a> <http://example.org/p> <http://example.org/b> .',
+            '<http://example.org/b> <http://example.org/p> <http://example.org/a> .',
+            '<http://example.org/a> <http://example.org/q> "http://example.org/a" .',
+            '<http://example.org/b> <http://example.org/q> "http://example.org/a" .',
+            '<http://example.org/a> <http://example.org/q> "say \\"hi\\" \\\\" .',
+            '<http://example.org/b> <http://example.org/q> "say \\"hi\\" \\\\" .',
+        ]
+    )
+    g = parse_ntriples(text)
+    by_value: dict[Term, list[Term]] = {}
+    for t in g:
+        for term in (t.s, t.p, t.o):
+            by_value.setdefault(term, []).append(term)
+    assert len(by_value) == 6  # a, b, p, q, and two literals
+    for terms in by_value.values():
+        assert all(term is terms[0] for term in terms)
+    # A URI and a literal with the same lexical form stay two terms.
+    assert uri(EX_A) in by_value and literal(EX_A) in by_value
+    assert by_value[uri(EX_A)][0] is not by_value[literal(EX_A)][0]
+    # A term built directly equals the shared one and hashes like it.
+    direct = Term(TermKind.URI, EX_A)
+    shared = by_value[direct][0]
+    assert direct == shared and hash(direct) == hash(shared) and direct is not shared
+    assert literal('say "hi" \\') in by_value
+
+
+@pytest.mark.parametrize(
+    "term, printed",
+    [
+        (uri(EX_A), "<http://example.org/a>"),
+        (variable("x"), "?x"),
+        (literal(""), '""'),
+        (literal('a"b'), '"a\\"b"'),
+        (literal("a\\b"), '"a\\\\b"'),
+        (literal('\\"'), '"\\\\\\""'),
+    ],
+    ids=["uri", "variable", "empty", "quote", "backslash", "backslash-quote"],
+)
+def test_printed_term_is_the_same_on_every_call(term, printed):
+    assert str(term) == printed
+    assert str(term) == printed
+    assert str(Term(term.kind, term.lexical)) == printed
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from fedldf.rdf import SolutionMapping, literal, uri, variable
+
+def values():
+    return [uri("a"), literal("a"), variable("x"),
+            SolutionMapping({"x": uri("a")}),
+            SolutionMapping({"y": literal("b"), "x": uri("a")})]
+
+path = sys.argv[2]
+if sys.argv[1] == "dump":
+    with open(path, "wb") as f:
+        pickle.dump(values(), f)
+else:
+    with open(path, "rb") as f:
+        loaded = pickle.load(f)
+    for value, fresh in zip(loaded, values()):
+        assert value == fresh and hash(value) == hash(fresh), value
+        assert value in {fresh} and fresh in set([value]), value
+    print("found", len(loaded))
+"""
+
+
+def test_pickled_terms_and_mappings_hash_under_the_loading_seed(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = tmp_path / "values.pickle"
+
+    def run(seed, *args):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, *args],
+            env=env, capture_output=True, text=True, check=True,
+        )
+
+    run(1, "dump", str(path))
+    assert run(2, "load", str(path)).stdout.split() == ["found", "5"]
 
 
 # -- N-Triples subset --------------------------------------------------------
